@@ -112,8 +112,8 @@ def _oracles(
 ) -> dict[int, dict[int, np.ndarray]]:
     """Offline ground truth: ``oracle[label][dest][src]`` distances.
 
-    Built with :meth:`LinkHealth.bfs_from` on the cumulative mask — the
-    exact arrays :class:`~repro.faults.router.FaultAwareRouter` routes on,
+    Built with :meth:`LinkHealth.distances_to` on the cumulative mask — the
+    kernel whose rows :class:`~repro.faults.router.FaultAwareRouter` routes on,
     so a served answer that matches here matches offline fault-aware
     routing by construction.
     """
@@ -124,7 +124,8 @@ def _oracles(
         for ev in events[label][applied:]:
             health.apply(ev)
         applied = len(events[label])
-        out[label] = {int(d): health.bfs_from(int(d)) for d in dests}
+        rows = health.distances_to(dests)
+        out[label] = {int(d): row for d, row in zip(dests, rows)}
     return out
 
 

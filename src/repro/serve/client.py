@@ -31,7 +31,8 @@ class ServeError(RuntimeError):
 
     ``kind`` refines the code when the server sent one: ``"engine"``
     (500), ``"deadline"`` (504), ``"route_unavailable"`` (the 404 variant
-    for strict queries cut apart by a fault epoch).
+    for strict queries cut apart by a fault epoch), ``"too_large"`` (the
+    400 for a request line over the server's line limit).
     """
 
     def __init__(self, code: int, message: str, kind: str | None = None) -> None:

@@ -20,9 +20,10 @@ never straddles two epochs.
 **Parity contract.**  An overlay is built by
 ``build_distance_table(health.healthy_graph())`` — the same BFS builder
 the store uses for pristine tables, on the same healthy subgraph
-``FaultAwareRouter``/``LinkHealth.bfs_from`` route on.  Served distances
-under an epoch are therefore byte-equal to offline fault-aware routing on
-the same mask (``tests/test_serve_faults.py`` asserts this), with the
+``FaultAwareRouter`` routes on through ``LinkHealth.distances_to``.  Served
+distances under an epoch are therefore byte-equal to offline fault-aware
+routing on the same mask (``tests/test_serve_faults.py`` and
+``tests/test_masked_distance.py`` assert this), with the
 int16 sentinel mapped to ``-1``/``None`` on the wire exactly like
 :data:`~repro.faults.health.UNREACHABLE` marks cut-off vertices offline.
 

@@ -180,7 +180,9 @@ class RetryingClient:
     disconnects (server SIGKILLed mid-burst), connection refusals (server
     restarting), 503 drains, 429 backpressure, structured 500s and 504
     deadline sheds.  Non-retryable responses (400/404, including strict
-    ``route_unavailable``) raise immediately.
+    ``route_unavailable`` and a ``too_large`` request line) raise
+    immediately: the server answered, and resending the same bytes
+    cannot succeed.
 
     When the breaker is open the client sleeps out the cooldown and
     probes (``fail_fast=False``, the default) or raises

@@ -16,7 +16,9 @@ Protocol — one JSON object per line, in both directions::
     <- {"ok": true, "op": "faults", "topology": "PS-IQ", "epoch": 1, ...}
 
 Errors answer ``{"ok": false, "code": <int>, "error": "..."}`` with
-HTTP-flavored codes: 400 malformed request, 404 unknown topology (or,
+HTTP-flavored codes: 400 malformed request (``"kind": "too_large"`` for a
+request line over :data:`MAX_LINE_BYTES`; the rest of that line is
+discarded and the connection stays open), 404 unknown topology (or,
 with ``"kind": "route_unavailable"``, a strict query whose pairs are cut
 apart by the current fault epoch), 429 backpressure, 500 batch execution
 failure (``"kind": "engine"``), 503 draining, 504 deadline shed
@@ -78,6 +80,7 @@ from repro.serve.engine import (
 from repro.serve.epochs import FaultEpochManager
 
 __all__ = [
+    "MAX_LINE_BYTES",
     "DeadlineExceededError",
     "EngineFailureError",
     "ServerConfig",
@@ -90,6 +93,28 @@ _LATENCY_BOUNDS = obs.exponential_buckets(5e-5, 2.0, 15)
 
 #: Ready banner prefix; tests and the CI smoke job parse the JSON after it.
 READY_PREFIX = "REPRO_SERVE_READY "
+
+#: Longest request line the server reads (asyncio's default stream limit).
+#: A 4096-pair bulk batch is ~49 KB; longer lines are answered 400
+#: ``too_large``.
+MAX_LINE_BYTES = 64 * 1024
+
+
+async def _read_line(reader: asyncio.StreamReader) -> bytes | None:
+    """Next request line (``b""`` at EOF), or ``None`` for a line longer
+    than the reader's limit — whose bytes are then discarded through its
+    newline, so the connection can serve the next request."""
+    too_large = False
+    while True:
+        try:
+            line = await reader.readuntil(b"\n")
+        except asyncio.IncompleteReadError as exc:
+            line = exc.partial  # EOF: a final unterminated line, like readline()
+        except asyncio.LimitOverrunError as exc:
+            too_large = True
+            await reader.readexactly(exc.consumed)
+            continue
+        return None if too_large else line
 
 
 @dataclass(frozen=True)
@@ -578,20 +603,26 @@ class ServeServer:
             task.add_done_callback(self._conn_tasks.discard)
         try:
             while True:
-                line = await reader.readline()
-                if not line:
+                line = await _read_line(reader)
+                if line == b"":
                     break
-                line = line.strip()
-                if not line:
+                if line is None:
+                    resp = self._error(
+                        400,
+                        f"request line exceeds {MAX_LINE_BYTES} bytes",
+                        kind="too_large",
+                    )
+                elif not line.strip():
                     continue
-                try:
-                    req = json.loads(line)
-                    if not isinstance(req, dict):
-                        raise ValueError("request must be a JSON object")
-                except ValueError as exc:
-                    resp = self._error(400, f"bad request line: {exc}")
                 else:
-                    resp = await self._answer(req)
+                    try:
+                        req = json.loads(line)
+                        if not isinstance(req, dict):
+                            raise ValueError("request must be a JSON object")
+                    except ValueError as exc:
+                        resp = self._error(400, f"bad request line: {exc}")
+                    else:
+                        resp = await self._answer(req)
                 writer.write(json.dumps(resp).encode() + b"\n")
                 await writer.drain()
         except (ConnectionResetError, BrokenPipeError):
@@ -644,7 +675,10 @@ class ServeServer:
             # support: request_stop() is the drain path instead.
             pass
         self._server = await asyncio.start_server(
-            self._handle, host=self.config.host, port=self.config.port
+            self._handle,
+            host=self.config.host,
+            port=self.config.port,
+            limit=MAX_LINE_BYTES,
         )
         port = self._server.sockets[0].getsockname()[1]
         self.port = int(port)

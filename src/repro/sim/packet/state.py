@@ -64,6 +64,7 @@ class LinkState:
     __slots__ = (
         "num_links", "ends_v", "link_free", "link_busy", "link_ok",
         "link_ser", "credits", "waiting", "wake_scheduled", "escape_at",
+        "health_pos",
     )
 
     def __init__(self, ends, packet_size: int, num_vcs: int, buffer_packets: int):
@@ -82,15 +83,19 @@ class LinkState:
         self.waiting: list[list[tuple[int, int, int, int]]] = [[] for _ in range(m)]
         self.wake_scheduled = [False] * m
         self.escape_at = [-1] * m
+        #: CSR entry of every link in the health mask (set on first refresh).
+        self.health_pos: np.ndarray | None = None
 
     def refresh_health(self, ends, packet_size: int, health) -> None:
         """Re-derive ``link_ok`` / ``link_ser`` from the shared health mask
-        (run start with a pre-degraded mask, and after every fault event)."""
-        link_ok = self.link_ok
-        link_ser = self.link_ser
-        for lid, (u, v) in enumerate(ends):
-            link_ok[lid] = health.is_up(u, v)
-            link_ser[lid] = int(np.ceil(packet_size * health.degrade_factor(u, v)))
+        (run start with a pre-degraded mask, and after every fault event)
+        with whole-array gathers; the lists are updated in place."""
+        if self.health_pos is None:
+            e = np.asarray(ends, dtype=np.int64).reshape(-1, 2)
+            self.health_pos = health.entry_positions(e[:, 0], e[:, 1])
+        ok, factor = health.entry_state(self.health_pos)
+        self.link_ok[:] = ok.tolist()
+        self.link_ser[:] = np.ceil(packet_size * factor).astype(np.int64).tolist()
 
     def busy_array(self) -> np.ndarray:
         return np.asarray(self.link_busy, dtype=np.int64)

@@ -38,6 +38,7 @@ from repro.serve import (
     run_bench,
     wait_until_ready,
 )
+from repro.serve.server import MAX_LINE_BYTES
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 TOPO = "PS-IQ"
@@ -340,6 +341,29 @@ class TestServerProtocol:
             resp = json.loads(client._rfile.readline())
             assert resp["ok"] is False and resp["code"] == 400
             assert client.ping() == [TOPO]
+
+    def test_oversized_line_is_400_and_connection_survives(self, live_server, shard):
+        """An 8000-pair line is over the 64 KiB line limit: it is answered
+        400 too_large, its tail is discarded, and the same connection
+        answers the next request."""
+        server = live_server()
+        big = random_pairs(shard.n, 8000, seed=9)
+        small = random_pairs(shard.n, 16, seed=10)
+        with ServeClient("127.0.0.1", server.port) as client:
+            with pytest.raises(ServeError) as exc:
+                client.distance(TOPO, big)
+            assert exc.value.code == 400 and exc.value.kind == "too_large"
+            assert len(client.distance(TOPO, small)) == len(small)
+        assert server.errors == {"too_large": 1}
+
+    def test_bulk_batch_fits_the_line_limit(self, live_server, shard):
+        """A 4096-pair bulk batch stays under the line limit."""
+        server = live_server()
+        pairs = random_pairs(shard.n, 4096, seed=11)
+        line = json.dumps({"op": "distance", "topology": TOPO, "pairs": pairs.tolist()})
+        assert len(line) < MAX_LINE_BYTES
+        with ServeClient("127.0.0.1", server.port) as client:
+            assert len(client.distance(TOPO, pairs)) == len(pairs)
 
     def test_empty_batch(self, live_server):
         server = live_server()

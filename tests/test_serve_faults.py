@@ -653,6 +653,16 @@ class TestRetryingClient:
             assert got == offline_distances(base_shard.graph, [], pairs)
             assert client.ping() == [TOPO]
 
+    def test_oversized_line_is_not_retried(self, live_server, base_shard):
+        server = live_server()
+        pairs = random_pairs(base_shard.n, 8000, seed=17)
+        with RetryingClient("127.0.0.1", server.port, seed=1) as client:
+            with pytest.raises(ServeError) as exc:
+                client.distance(TOPO, pairs)
+            assert exc.value.code == 400 and exc.value.kind == "too_large"
+            assert client.retries == {} and client.reconnects == 0
+            assert client.ping() == [TOPO]
+
 
 # -- chaos harness smoke ------------------------------------------------------
 
