@@ -7,8 +7,8 @@ benchmark family and emits a schema-versioned JSON report that lives in
 * :mod:`repro.bench.packet` — SoA packet engine vs the pinned scalar
   reference over the fig09 packet sweep (``BENCH_packet.json``);
 * :mod:`repro.serve.bench` — batched route-query throughput vs a scalar
-  lookup loop (``BENCH_serve.json``; predates this package and stays in
-  the serve subsystem, surfaced here under ``repro bench serve``).
+  lookup loop (``BENCH_serve.json``; predates this package, stays in the
+  serve subsystem and runs as ``repro serve bench``).
 """
 
 from repro.bench.packet import (

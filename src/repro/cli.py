@@ -14,7 +14,6 @@ Usage (after ``pip install -e .``)::
     python -m repro serve chaos --topology PS-IQ --scale reduced --out chaos.json
     python -m repro bench packet --out BENCH_packet.json   # fig09 sweep, both engines
     python -m repro bench packet --quick --min-speedup 3   # CI perf-smoke gate
-    python -m repro bench serve --topology PS-IQ --out BENCH_serve.json
     python -m repro sim --radix 7 --load 0.3 --adaptive --metrics-out m.json
     python -m repro sim --radix 7 --load 0.3 --fail-links 0.1
     python -m repro faults inject --fail-links 0.1 --fail-nodes 2
@@ -728,38 +727,31 @@ def _cmd_serve(args) -> int:
             print(f"chaos report written to {args.out}")
         return 0 if doc["ok"] else 1
     if args.action == "bench":
-        return _run_serve_bench(args)
-    raise SystemExit(f"unknown serve action {args.action!r}")
+        from repro.runtime import atomic_write_text
+        from repro.serve import format_bench, run_bench
 
-
-def _run_serve_bench(args) -> int:
-    """Shared body of ``repro serve bench`` and ``repro bench serve``."""
-    from repro.runtime import atomic_write_text
-    from repro.serve import format_bench, run_bench
-
-    doc = run_bench(
-        args.topology[0],
-        scale=args.scale,
-        pairs=args.pairs,
-        batch_sizes=tuple(args.batch_sizes),
-        concurrency=args.concurrency,
-        seed=args.seed,
-        host=args.host,
-        port=args.port,
-    )
-    print(format_bench(doc))
-    if args.out:
-        atomic_write_text(
-            args.out, json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        doc = run_bench(
+            args.topology[0],
+            scale=args.scale,
+            pairs=args.pairs,
+            batch_sizes=tuple(args.batch_sizes),
+            concurrency=args.concurrency,
+            seed=args.seed,
+            host=args.host,
+            port=args.port,
         )
-        print(f"bench report written to {args.out}")
-    return 0
+        print(format_bench(doc))
+        if args.out:
+            atomic_write_text(
+                args.out, json.dumps(doc, indent=2, sort_keys=True) + "\n"
+            )
+            print(f"bench report written to {args.out}")
+        return 0
+    raise SystemExit(f"unknown serve action {args.action!r}")
 
 
 def _cmd_bench(args) -> int:
     """Bench subcommands: schema-versioned perf reports (``repro bench``)."""
-    if args.action == "serve":
-        return _run_serve_bench(args)
     if args.action == "packet":
         from repro.bench import format_bench, quick_preset, run_bench
         from repro.runtime import atomic_write_text
@@ -988,30 +980,6 @@ def build_parser() -> argparse.ArgumentParser:
     bp.add_argument("--out", default=None, metavar="PATH",
                     help="write the BENCH_packet.json report here")
     bp.set_defaults(fn=_cmd_bench)
-
-    bs = bsub.add_parser(
-        "serve", help="alias of `repro serve bench` under the bench umbrella"
-    )
-    bs.add_argument(
-        "--topology", action="append", required=True, metavar="SPEC",
-        help="topology spec to bench",
-    )
-    bs.add_argument("--scale", choices=["full", "reduced"], default="full")
-    bs.add_argument("--pairs", type=int, default=65536,
-                    help="random pairs per measured run")
-    bs.add_argument(
-        "--batch-sizes", type=int, nargs="+", default=[1, 64, 4096],
-        metavar="N",
-    )
-    bs.add_argument("--concurrency", type=int, default=4,
-                    help="client threads in server mode")
-    bs.add_argument("--seed", type=int, default=0)
-    bs.add_argument("--host", default="127.0.0.1")
-    bs.add_argument("--port", type=int, default=None,
-                    help="also drive a live server at this port")
-    bs.add_argument("--out", default=None, metavar="PATH",
-                    help="write the BENCH_serve.json report here")
-    bs.set_defaults(fn=_cmd_bench)
 
     s = sub.add_parser(
         "sim", help="run the packet simulator on a small PolarStar instance"

@@ -1,16 +1,26 @@
-"""Struct-of-arrays packet engine: batched events, byte-identical results.
+"""Struct-of-arrays packet engine: two loops, byte-identical results.
 
 This is the default engine behind :class:`PacketSimulator`.  It executes
 the exact discrete-event semantics of the reference scalar loop
 (:mod:`repro.sim.packet.reference`) — same RNG draw order, same event
-order, same credit/dispatch interleave — but restructured for speed:
+order, same credit/dispatch interleave — through one of two loops, chosen
+per run by :meth:`PacketSimulator.run`:
 
-* packet state lives in NumPy columns (:class:`~.state.PacketArrays`), so
-  each cycle's arrivals are resolved in a handful of fancy-indexed passes
-  (:mod:`~.kernel`) instead of per-object attribute chases;
-* next hops come from a dense per-router table
-  (:func:`repro.routing.table.next_hop_table`) gathered per batch, not
-  from one memoized ``Router.next_hop`` call per event;
+* ``_run_pure`` — fault-free minimal routing.  ``next_hop`` is
+  history-free there, so every packet's whole route is gathered from the
+  dense next-hop table (:func:`repro.routing.table.next_hop_table`) at
+  injection; a packet in flight is the integer code ``pid * stride + hop``,
+  the event loop does timing work only, and latency/hop accounting is one
+  vectorized pass over the buckets after the loop.
+* ``_run_soa`` — UGAL and/or a health mask.  Routing depends on queue
+  state, the RNG or the fault epoch, so one scalar loop routes each
+  arrival in event order through the reference's ``_nh_cache`` memo;
+  packet state lives in NumPy columns (:class:`~.state.PacketArrays`),
+  gathered once per cycle batch and updated by :mod:`~.kernel` once per
+  cycle.
+
+Both loops share the rest of the layout:
+
 * the global event heap becomes cycle buckets (:func:`~.state.make_buckets`)
   — integer event times and the ``FAULT < ARRIVE < WAKE`` kind order make
   per-cycle append-order lists replay the heap exactly;
@@ -24,12 +34,10 @@ order, same credit/dispatch interleave — but restructured for speed:
 * the injection loop stays scalar — inter-arrival and destination draws
   interleave per endpoint, so vectorizing them would consume the RNG
   stream in a different order;
-* UGAL decisions and every faulted-epoch routing decision stay scalar (and
-  under a dirty health mask go through the genuine
+* UGAL decisions and every routing decision of a run with a health mask
+  are made per arrival, and under a health mask go through the genuine
   :class:`~repro.faults.FaultAwareRouter` ladder with the reference's memo
-  semantics); the vectorized fast path runs only for cycles where routing
-  is history-free and table-backed (fault-free runs, and clean epochs of
-  faulted runs);
+  semantics — clean epochs included;
 * measured latencies are accumulated in event order as Python ints, so
   the final ``np.mean``/``np.percentile`` see the identical operand array.
 """
@@ -121,12 +129,10 @@ class PacketSimulator(ReferencePacketSimulator):
             raise ValueError(f"unknown packet engine {engine!r}")
         super().__init__(topology, router, pattern, config, adaptive, metrics, faults)
         self.engine = engine
-        # Next-hop memo effectiveness state for the batched paths; mirrors
-        # the reference `_nh_cache` semantics (persists across fault-free
-        # runs, invalidated per fault event).
-        self._pair_seen: np.ndarray | None = None
-        self._pair_seen_list: list[bool] | None = None
-        self._pair_seen_b: bytearray | None = None
+        # `_run_pure`'s stand-in for the reference `_nh_cache` keys: one
+        # byte per (router, dest) pair, set once the pair has been looked
+        # up; persists across runs like the memo.
+        self._pure_seen: bytearray | None = None
 
     def run(self, load: float) -> PacketSimResult:
         if self.engine == "reference":
@@ -186,25 +192,24 @@ class PacketSimulator(ReferencePacketSimulator):
         # is maintained only while observability is on — the routing answers
         # themselves come from the precomputed tables either way.
         if obs_on:
-            if self._pair_seen_b is None:
-                self._pair_seen_b = bytearray(n * n)
-            seen = self._pair_seen_b
+            if self._pure_seen is None:
+                self._pure_seen = bytearray(n * n)
+            seen = self._pure_seen
         else:
             seen = None
 
         # ---- open-loop injections (scalar loop: RNG draw-order parity) ----
         rate = load / cfg.packet_size
         injected_measured = 0
-        # Eager empty lists (not the lazy ``make_buckets`` Nones), with
-        # slack past end_time: every push in the hot loop is then a bare
-        # ``buckets[t].append(...)`` with no horizon bound check.  The
-        # main loop never consumes the slack slots, which is observably
-        # the same as the reference dropping those pushes — except that
-        # the parked sends still claimed the wire, so the busy-time
-        # reconstruction below counts the slack slots too.
+        # Buckets with slack past end_time: every push in the hot loop is
+        # then a bare ``buckets[t].append(...)`` with no horizon bound
+        # check.  The main loop never consumes the slack slots, which is
+        # observably the same as the reference dropping those pushes —
+        # except that the parked sends still claimed the wire, so the
+        # busy-time reconstruction below counts the slack slots too.
         slack = cfg.router_latency + cfg.packet_size + cfg.link_latency + 1
-        arr_buckets: list = [[] for _ in range(end_time + slack + 1)]
-        wake_buckets: list = [[] for _ in range(end_time + slack + 1)]
+        arr_buckets = make_buckets(end_time + slack)
+        wake_buckets = make_buckets(end_time + slack)
         src_l: list[int] = []
         dest_l: list[int] = []
         birth_l: list[int] = []
@@ -738,9 +743,23 @@ class PacketSimulator(ReferencePacketSimulator):
             drop_causes={},
         )
 
-    # -- the SoA engine ----------------------------------------------------
+    # -- the SoA engine: UGAL and/or a health mask --------------------------
 
     def _run_soa(self, load: float) -> PacketSimResult:
+        """Per-arrival engine for adaptive (UGAL) runs and runs with a
+        health mask.
+
+        Routing here is history-dependent — UGAL reads live queue
+        occupancy and draws from the run's RNG, and a fault schedule
+        changes the answers mid-run — so every arrival is routed on its own,
+        in event order, through the reference's ``_nh_cache`` memo.  The
+        lookups behind the memo are bound once per run: dense tables when
+        fault-free, the :class:`~repro.faults.FaultAwareRouter` itself (its
+        fallback ladder, recompute and rung accounting) under a health mask.
+        Packet state lives in :class:`~.state.PacketArrays` columns,
+        gathered once per cycle batch and updated by
+        :func:`~.kernel.record_sends` once per cycle.
+        """
         cfg = self.cfg
         topo = self.topology
         rng = np.random.default_rng(cfg.seed)
@@ -757,7 +776,7 @@ class PacketSimulator(ReferencePacketSimulator):
         max_hops_seen = 0
         nh_hits = 0
         nh_misses = 0
-        depths: list[int] = [] if obs_on else []
+        depths: list[int] = []
         if obs_on:
             qdepth = reg.histogram(
                 "sim.packet.queue_depth",
@@ -775,54 +794,38 @@ class PacketSimulator(ReferencePacketSimulator):
         dropped_measured = 0
         drop_causes: dict[str, int] = {}
         applied_events: dict[str, int] = {}
-        nh_memo: dict[tuple[int, int], int] = {}
         if faults_on:
             self._nh_cache.clear()
             rungs0 = dict(self.router.rung_counts)
             eager0, lazy0 = self.router.recompute_eager, self.router.recompute_lazy
             batches0 = len(self.router.recompute_batches)
 
-        # ---- routing tables ------------------------------------------------
-        from repro.routing.table import next_hop_table
+        # ---- routing lookups, bound once per run ---------------------------
+        if faults_on:
+            lookup_next_hop = self.router.next_hop
+            distance = self.router.distance
+        else:
+            # Fault-free routing is history-free, so dense tables answer
+            # exactly what the router would.
+            from repro.routing.table import next_hop_table
 
-        # Tables are built from the *inner* (pristine-topology) router: on a
-        # clean health mask the fault-aware wrapper delegates to it, so the
-        # table answers equal the wrapper's — dirty epochs never use tables.
-        inner = self.router.inner if faults_on else self.router
-        # Adaptive (UGAL) decisions interleave RNG draws with live queue
-        # occupancy, so adaptive runs use scalar per-arrival routing: table
-        # lookups when fault-free, real router calls (ladder, recompute
-        # accounting) whenever a health mask exists.
-        scalar_router = faults_on and adaptive
-        nh_tab = None if scalar_router else next_hop_table(inner)
-        lid_tab = build_link_id_table(n, self.link_id)
-        nh_flat: list[int] | None = None
-        dist_flat: list[int] | None = None
-        lid_flat: list[int] | None = None
-        if adaptive and not faults_on:
-            nh_flat = nh_tab.ravel().tolist()
-            dist_flat = _distance_table(inner)
-            lid_flat = lid_tab.ravel().tolist()
-        # Memo-effectiveness state (reference `_nh_cache` hit/miss parity).
-        if adaptive and not faults_on:
-            if self._pair_seen_list is None:
-                self._pair_seen_list = [False] * (n * n)
-            pair_seen_list = self._pair_seen_list
-        else:
-            pair_seen_list = None
-        if not adaptive:
-            if self._pair_seen is None or faults_on:
-                self._pair_seen = np.zeros(n * n, dtype=bool)
-            pair_seen = self._pair_seen
-        else:
-            pair_seen = None
-        epoch_clean = (not faults_on) or health.clean
+            nh_flat = next_hop_table(self.router).ravel().tolist()
+            dist_flat = _distance_table(self.router)
+
+            def lookup_next_hop(u: int, t: int) -> int:
+                return nh_flat[u * n + t]
+
+            def distance(u: int, t: int) -> int:
+                return dist_flat[u * n + t]
+
+        lid_flat = build_link_id_table(n, self.link_id).ravel().tolist()
+        nh_cache = self._nh_cache
 
         # ---- pre-generated open-loop injections (scalar: RNG parity) ------
         rate = load / cfg.packet_size
         injected_measured = 0
-        arr_buckets: list = make_buckets(end_time)
-        wake_buckets: list = make_buckets(end_time)
+        arr_buckets = make_buckets(end_time)
+        wake_buckets = make_buckets(end_time)
         fault_lists: dict[int, list] = {}
         if self.faults is not None:
             for ev in self.faults:
@@ -853,11 +856,7 @@ class PacketSimulator(ReferencePacketSimulator):
                         src_l.append(src_r)
                         dest_l.append(dest_r)
                         birth_l.append(birth)
-                        b = arr_buckets[birth]
-                        if b is None:
-                            arr_buckets[birth] = [pid]
-                        else:
-                            b.append(pid)
+                        arr_buckets[birth].append(pid)
                         pid += 1
                         if warm <= birth < horizon:
                             injected_measured += 1
@@ -908,46 +907,30 @@ class PacketSimulator(ReferencePacketSimulator):
 
         # ---- scalar helpers (faults, UGAL, dispatch interleave) -----------
 
-        def next_hop_memo(u: int, t: int) -> int:
-            """Reference `_next_hop` clone for dirty-epoch routing: dict
-            memo over the fault-aware router, miss counted even when the
-            lookup raises."""
+        def next_hop(u: int, t: int) -> int:
+            """Reference `_next_hop` clone: the per-(router, target) memo,
+            miss counted even when the lookup raises."""
             nonlocal nh_hits, nh_misses
             key = (u, t)
-            hop = nh_memo.get(key)
+            hop = nh_cache.get(key)
             if hop is None:
                 nh_misses += 1
-                hop = self.router.next_hop(u, t)
-                nh_memo[key] = hop
+                hop = lookup_next_hop(u, t)
+                nh_cache[key] = hop
             else:
                 nh_hits += 1
             return hop
 
-        def next_hop_table_scalar(u: int, t: int) -> int:
-            """Fault-free scalar lookup (UGAL path): dense-table read with
-            the memo's hit/miss accounting semantics."""
-            nonlocal nh_hits, nh_misses
-            k = u * n + t
-            if pair_seen_list[k]:
-                nh_hits += 1
-            else:
-                nh_misses += 1
-                pair_seen_list[k] = True
-            return nh_flat[k]
-
-        def route_next_scalar(p: int, rr: int, inter: int, dst: int,
-                              exclude: tuple[int, ...] = ()) -> tuple[int, int]:
-            """Reference `route_next` clone; returns (next_hop, intermediate)
-            with the midpoint-degradation retry applied to the arrays."""
+        def route_next(p: int, rr: int, inter: int, dst: int,
+                       exclude: tuple[int, ...] = ()) -> int:
+            """Reference `route_next` clone, with the midpoint-degradation
+            retry applied to the arrays."""
             while True:
                 target = inter if inter >= 0 else dst
                 try:
                     if exclude:
-                        return (
-                            self.router.route_hops(rr, target, exclude)[0][0],
-                            inter,
-                        )
-                    return next_hop_memo(rr, target), inter
+                        return self.router.route_hops(rr, target, exclude)[0][0]
+                    return next_hop(rr, target)
                 except RouteUnavailableError:
                     if inter < 0:
                         raise
@@ -965,11 +948,7 @@ class PacketSimulator(ReferencePacketSimulator):
                     if t < now:
                         t = now
                     if t <= end_time:
-                        wb = wake_buckets[t]
-                        if wb is None:
-                            wake_buckets[t] = [il]
-                        else:
-                            wb.append(il)
+                        wake_buckets[t].append(il)
             b = int(pkt_birth[p])
             if warm <= b < horizon:
                 dropped_measured += 1
@@ -991,27 +970,24 @@ class PacketSimulator(ReferencePacketSimulator):
                 return
             reroutes += 1
             try:
-                nxt, _ = route_next_scalar(
+                nxt = route_next(
                     p, rr, int(pkt_inter[p]), int(pkt_dest[p]), exclude=(blocked,)
                 )
             except RouteUnavailableError:
                 drop_entry(p, vc, il, "unreachable", now)
                 return
-            lid = self.link_id[(rr, nxt)]
-            pkt_enq[p] = now
+            lid = lid_flat[rr * n + nxt]
             q = waiting[lid]
             q.append((p, vc, il, now))
             if obs_on:
                 depths.append(len(q))
             try_dispatch(lid, now + RL)
 
-        pkt_enq = arrays.enq
-
         def try_dispatch(lid: int, now: int) -> None:
             """Reference `try_dispatch` clone over the list mirrors (FIFO
             with VC lookahead, escape timeout, wake scheduling)."""
             nonlocal vc_cap_sends
-            if faults_on and not link_ok[lid]:
+            if not link_ok[lid]:
                 return
             q = waiting[lid]
             while q and link_free[lid] <= now:
@@ -1035,11 +1011,7 @@ class PacketSimulator(ReferencePacketSimulator):
                                 if t < now:
                                     t = now
                                 if t <= end_time:
-                                    wb = wake_buckets[t]
-                                    if wb is None:
-                                        wake_buckets[t] = [wil]
-                                    else:
-                                        wb.append(wil)
+                                    wake_buckets[t].append(wil)
                         ser = link_ser[lid]
                         link_free[lid] = now + ser
                         link_busy[lid] += ser
@@ -1051,11 +1023,7 @@ class PacketSimulator(ReferencePacketSimulator):
                         w_vc.append(nvc)
                         w_lid.append(lid)
                         if arrive <= end_time:
-                            ab = arr_buckets[arrive]
-                            if ab is None:
-                                arr_buckets[arrive] = [p]
-                            else:
-                                ab.append(p)
+                            arr_buckets[arrive].append(p)
                         sent = True
                         break
                 if not sent:
@@ -1069,56 +1037,31 @@ class PacketSimulator(ReferencePacketSimulator):
                             when = now + esc_timeout - head_wait
                             escape_at[lid] = when
                             if when <= end_time:
-                                wb = wake_buckets[when]
-                                if wb is None:
-                                    wake_buckets[when] = [lid]
-                                else:
-                                    wb.append(lid)
+                                wake_buckets[when].append(lid)
                     return
             if q and not wake_scheduled[lid]:
                 wake_scheduled[lid] = True
                 t = link_free[lid]
                 if t <= end_time:
-                    wb = wake_buckets[t]
-                    if wb is None:
-                        wake_buckets[t] = [lid]
-                    else:
-                        wb.append(lid)
+                    wake_buckets[t].append(lid)
 
-        def choose_route_scalar(p: int, src: int, dst: int) -> int:
+        def choose_route(p: int, src: int, dst: int) -> int:
             """Reference `choose_route` clone (UGAL-L at injection); returns
             the chosen intermediate and tallies the decision."""
             nonlocal ugal_minimal, ugal_nonminimal
-            if faults_on:
-                min_next = next_hop_memo(src, dst)
-                d0 = self.router.distance(src, dst)
-            else:
-                min_next = next_hop_table_scalar(src, dst)
-                d0 = dist_flat[src * n + dst]
-            if faults_on:
-                occ0 = float(len(waiting[self.link_id[(src, min_next)]]))
-            else:
-                occ0 = float(len(waiting[lid_flat[src * n + min_next]]))
-            best_cost = d0 * (1.0 + occ0)
+            min_next = next_hop(src, dst)
+            best_cost = distance(src, dst) * (
+                1.0 + len(waiting[lid_flat[src * n + min_next]])
+            )
             best_mid = -1
             for _ in range(cfg.ugal_samples):
                 mid = int(rng.integers(0, n))
                 if mid == src or mid == dst:
                     continue
-                if faults_on:
-                    hops = self.router.distance(src, mid) + self.router.distance(
-                        mid, dst
-                    )
-                else:
-                    hops = dist_flat[src * n + mid] + dist_flat[mid * n + dst]
+                hops = distance(src, mid) + distance(mid, dst)
                 if hops >= UNREACHABLE:
                     continue
-                if faults_on:
-                    occ = float(len(waiting[self.link_id[(src, next_hop_memo(src, mid))]]))
-                else:
-                    occ = float(
-                        len(waiting[lid_flat[src * n + next_hop_table_scalar(src, mid)]])
-                    )
+                occ = len(waiting[lid_flat[src * n + next_hop(src, mid)]])
                 cost = hops * (1.0 + occ)
                 if cost < best_cost:
                     best_cost, best_mid = cost, mid
@@ -1132,15 +1075,11 @@ class PacketSimulator(ReferencePacketSimulator):
         def apply_fault(ev, now: int) -> None:
             """Reference `apply_fault` clone: mask update, cache + memo
             invalidation, health mirror refresh, dead-queue displacement."""
-            nonlocal epoch_clean
             health.apply(ev)
             applied_events[ev.kind] = applied_events.get(ev.kind, 0) + 1
-            nh_memo.clear()
-            if pair_seen is not None:
-                pair_seen[:] = False
+            nh_cache.clear()
             self.router.sync()
             links.refresh_health(ends, cfg.packet_size, health)
-            epoch_clean = health.clean
             for lid in range(links.num_links):
                 if link_ok[lid] or not waiting[lid]:
                     continue
@@ -1161,344 +1100,108 @@ class PacketSimulator(ReferencePacketSimulator):
                 arr = arr_buckets[now]
                 if arr:
                     now_rl = now + RL
-                    if not adaptive and epoch_clean:
-                        # -- vectorized fast path (history-free routing) --
-                        ids = np.asarray(arr, dtype=np.int64)
-                        router_b, target_b, delivered, nxt, lids = (
-                            kernel.resolve_arrivals(arrays, ids, nh_tab, lid_tab)
-                        )
-                        live = ~delivered
-                        if faults_on:
-                            # TTL-expired packets drop before routing in the
-                            # reference loop, so they never touch the memo.
-                            hops_b = arrays.hops[ids]
-                            route_mask = live & (hops_b < ttl_hops)
-                        else:
-                            route_mask = live
-                        h, m = kernel.tally_pair_cache(
-                            pair_seen, (router_b * n + target_b)[route_mask]
-                        )
-                        nh_hits += h
-                        nh_misses += m
-                        if faults_on and m:
-                            # clean-epoch misses go through the wrapper's
-                            # fast path in the reference engine, which
-                            # tallies one primary-rung decision per miss
-                            self.router.rung_counts["primary"] += m
-                        kernel.write_enqueue_times(arrays, ids, delivered, now)
-                        lat, hsum, dcount, mx = kernel.account_deliveries(
-                            arrays, ids, delivered, now, warm, horizon, obs_on
-                        )
-                        if dcount or lat:
-                            latencies.extend(lat)
-                            hop_total += hsum
-                            delivered_measured += dcount
-                        if mx > max_hops_seen:
-                            max_hops_seen = mx
-                        dl = delivered.tolist()
-                        lid_l = lids.tolist()
-                        vc_l = pkt_vc[ids].tolist()
-                        il_l = pkt_in_link[ids].tolist()
-                        if not faults_on:
-                            # The dominant case — empty queue, idle link,
-                            # credit in hand — sends inline: identical to
-                            # enqueue + try_dispatch immediately popping
-                            # the sole entry, minus the round-trip.
-                            for p, dflag, lid, vc, il in zip(
-                                arr, dl, lid_l, vc_l, il_l
-                            ):
-                                if dflag:
-                                    # ejection frees the buffer (a delivered
-                                    # packet always holds one: src != dest
-                                    # means it crossed >= 1 link)
+                    ids = np.asarray(arr, dtype=np.int64)
+                    r_l = pkt_router[ids].tolist()
+                    d_l = pkt_dest[ids].tolist()
+                    inter_l = pkt_inter[ids].tolist()
+                    vc_l = pkt_vc[ids].tolist()
+                    il_l = pkt_in_link[ids].tolist()
+                    b_l = pkt_birth[ids].tolist()
+                    hops_l = pkt_hops[ids].tolist()
+                    s_l = pkt_src[ids].tolist() if adaptive else None
+                    for i in range(len(arr)):
+                        p = arr[i]
+                        rr = r_l[i]
+                        vc = vc_l[i]
+                        il = il_l[i]
+                        dst = d_l[i]
+                        if faults_on and not health.node_up(rr):
+                            drop_entry(p, vc, il, "node_down", now)
+                            continue
+                        inter = inter_l[i]
+                        if il < 0 and adaptive and rr == s_l[i]:
+                            try:
+                                inter = choose_route(p, rr, dst)
+                            except RouteUnavailableError:
+                                drop_entry(p, vc, il, "unreachable", now)
+                                continue
+                        if inter == rr:
+                            inter = -1
+                            pkt_inter[p] = -1
+                        if rr == dst:
+                            if il >= 0:  # ejection frees the buffer
+                                credits[il * V + vc] += 1
+                                if waiting[il] and not wake_scheduled[il]:
+                                    wake_scheduled[il] = True
+                                    t = link_free[il]
+                                    if t < now:
+                                        t = now
+                                    if t <= end_time:
+                                        wake_buckets[t].append(il)
+                            b = b_l[i]
+                            if warm <= b < horizon:
+                                latencies.append(now - b)
+                                hop_total += hops_l[i]
+                                delivered_measured += 1
+                            if obs_on and hops_l[i] > max_hops_seen:
+                                max_hops_seen = hops_l[i]
+                            continue
+                        if faults_on and hops_l[i] >= ttl_hops:
+                            drop_entry(p, vc, il, "ttl", now)
+                            continue
+                        try:
+                            nxt = route_next(p, rr, inter, dst)
+                        except RouteUnavailableError:
+                            drop_entry(p, vc, il, "unreachable", now)
+                            continue
+                        lid = lid_flat[rr * n + nxt]
+                        q = waiting[lid]
+                        if not q and link_ok[lid] and link_free[lid] <= now_rl:
+                            nvc = vc + 1
+                            if nvc > vmax:
+                                nvc = vmax
+                            ci = lid * V + nvc
+                            if credits[ci] > 0:
+                                # inline send: empty queue, usable idle
+                                # link, credit in hand — identical to
+                                # enqueue + try_dispatch popping the
+                                # sole entry immediately
+                                credits[ci] -= 1
+                                if il >= 0:
                                     credits[il * V + vc] += 1
                                     if waiting[il] and not wake_scheduled[il]:
                                         wake_scheduled[il] = True
                                         t = link_free[il]
-                                        if t < now:
-                                            t = now
+                                        if t < now_rl:
+                                            t = now_rl
                                         if t <= end_time:
-                                            wb = wake_buckets[t]
-                                            if wb is None:
-                                                wake_buckets[t] = [il]
-                                            else:
-                                                wb.append(il)
-                                    continue
-                                q = waiting[lid]
-                                if not q and link_free[lid] <= now_rl:
-                                    nvc = vc + 1
-                                    if nvc > vmax:
-                                        nvc = vmax
-                                    ci = lid * V + nvc
-                                    if credits[ci] > 0:
-                                        credits[ci] -= 1
-                                        credits[il * V + vc] += 1
-                                        if waiting[il] and not wake_scheduled[il]:
-                                            wake_scheduled[il] = True
-                                            t = link_free[il]
-                                            if t < now_rl:
-                                                t = now_rl
-                                            if t <= end_time:
-                                                wb = wake_buckets[t]
-                                                if wb is None:
-                                                    wake_buckets[t] = [il]
-                                                else:
-                                                    wb.append(il)
-                                        ser = link_ser[lid]
-                                        link_free[lid] = now_rl + ser
-                                        link_busy[lid] += ser
-                                        if obs_on:
-                                            depths.append(1)
-                                            if vc >= vmax:
-                                                vc_cap_sends += 1
-                                        arrive = now_rl + ser + LL
-                                        w_pid.append(p)
-                                        w_vc.append(nvc)
-                                        w_lid.append(lid)
-                                        if arrive <= end_time:
-                                            ab = arr_buckets[arrive]
-                                            if ab is None:
-                                                arr_buckets[arrive] = [p]
-                                            else:
-                                                ab.append(p)
-                                        continue
-                                q.append((p, vc, il, now))
+                                            wake_buckets[t].append(il)
+                                ser = link_ser[lid]
+                                link_free[lid] = now_rl + ser
+                                link_busy[lid] += ser
                                 if obs_on:
-                                    depths.append(len(q))
-                                lf = link_free[lid]
-                                if lf <= now_rl:
-                                    try_dispatch(lid, now_rl)
-                                elif not wake_scheduled[lid]:
-                                    # busy link: dispatch can't run before
-                                    # link_free — schedule the wake inline
-                                    wake_scheduled[lid] = True
-                                    if lf <= end_time:
-                                        wb = wake_buckets[lf]
-                                        if wb is None:
-                                            wake_buckets[lf] = [lid]
-                                        else:
-                                            wb.append(lid)
-                        else:
-                            hops_l = hops_b.tolist()
-                            for i in range(len(arr)):
-                                vc = vc_l[i]
-                                il = il_l[i]
-                                if dl[i]:
-                                    if il >= 0:  # ejection frees the buffer
-                                        credits[il * V + vc] += 1
-                                        if waiting[il] and not wake_scheduled[il]:
-                                            wake_scheduled[il] = True
-                                            t = link_free[il]
-                                            if t < now:
-                                                t = now
-                                            if t <= end_time:
-                                                wb = wake_buckets[t]
-                                                if wb is None:
-                                                    wake_buckets[t] = [il]
-                                                else:
-                                                    wb.append(il)
-                                    continue
-                                if hops_l[i] >= ttl_hops:
-                                    drop_entry(arr[i], vc, il, "ttl", now)
-                                    continue
-                                lid = lid_l[i]
-                                q = waiting[lid]
-                                if (
-                                    not q
-                                    and link_ok[lid]
-                                    and link_free[lid] <= now_rl
-                                ):
-                                    nvc = vc + 1
-                                    if nvc > vmax:
-                                        nvc = vmax
-                                    ci = lid * V + nvc
-                                    if credits[ci] > 0:
-                                        # inline send (see fault-free loop)
-                                        credits[ci] -= 1
-                                        if il >= 0:
-                                            credits[il * V + vc] += 1
-                                            if (
-                                                waiting[il]
-                                                and not wake_scheduled[il]
-                                            ):
-                                                wake_scheduled[il] = True
-                                                t = link_free[il]
-                                                if t < now_rl:
-                                                    t = now_rl
-                                                if t <= end_time:
-                                                    wb = wake_buckets[t]
-                                                    if wb is None:
-                                                        wake_buckets[t] = [il]
-                                                    else:
-                                                        wb.append(il)
-                                        ser = link_ser[lid]
-                                        link_free[lid] = now_rl + ser
-                                        link_busy[lid] += ser
-                                        if obs_on:
-                                            depths.append(1)
-                                            if vc >= vmax:
-                                                vc_cap_sends += 1
-                                        arrive = now_rl + ser + LL
-                                        w_pid.append(arr[i])
-                                        w_vc.append(nvc)
-                                        w_lid.append(lid)
-                                        if arrive <= end_time:
-                                            ab = arr_buckets[arrive]
-                                            if ab is None:
-                                                arr_buckets[arrive] = [arr[i]]
-                                            else:
-                                                ab.append(arr[i])
-                                        continue
-                                q.append((arr[i], vc, il, now))
-                                if obs_on:
-                                    depths.append(len(q))
-                                if not link_ok[lid]:
-                                    continue  # dead link: no dispatch, no wake
-                                lf = link_free[lid]
-                                if lf <= now_rl:
-                                    try_dispatch(lid, now_rl)
-                                elif not wake_scheduled[lid]:
-                                    wake_scheduled[lid] = True
-                                    if lf <= end_time:
-                                        wb = wake_buckets[lf]
-                                        if wb is None:
-                                            wake_buckets[lf] = [lid]
-                                        else:
-                                            wb.append(lid)
-                    else:
-                        # -- scalar path (UGAL and/or dirty health mask) --
-                        ids = np.asarray(arr, dtype=np.int64)
-                        r_l = pkt_router[ids].tolist()
-                        d_l = pkt_dest[ids].tolist()
-                        inter_l = pkt_inter[ids].tolist()
-                        vc_l = pkt_vc[ids].tolist()
-                        il_l = pkt_in_link[ids].tolist()
-                        b_l = pkt_birth[ids].tolist()
-                        hops_l = pkt_hops[ids].tolist()
-                        s_l = pkt_src[ids].tolist() if adaptive else None
-                        for i in range(len(arr)):
-                            p = arr[i]
-                            rr = r_l[i]
-                            il = il_l[i]
-                            if faults_on and not health.node_up(rr):
-                                drop_entry(p, vc_l[i], il, "node_down", now)
+                                    depths.append(1)
+                                    if vc >= vmax:
+                                        vc_cap_sends += 1
+                                arrive = now_rl + ser + LL
+                                w_pid.append(p)
+                                w_vc.append(nvc)
+                                w_lid.append(lid)
+                                if arrive <= end_time:
+                                    arr_buckets[arrive].append(p)
                                 continue
-                            inter = inter_l[i]
-                            if il < 0 and adaptive and rr == s_l[i]:
-                                if faults_on:
-                                    try:
-                                        inter = choose_route_scalar(p, rr, d_l[i])
-                                    except RouteUnavailableError:
-                                        drop_entry(p, vc_l[i], il, "unreachable", now)
-                                        continue
-                                else:
-                                    inter = choose_route_scalar(p, rr, d_l[i])
-                            if inter == rr:
-                                inter = -1
-                                pkt_inter[p] = -1
-                            if rr == d_l[i]:
-                                if il >= 0:  # ejection frees the buffer
-                                    credits[il * V + vc_l[i]] += 1
-                                    if waiting[il] and not wake_scheduled[il]:
-                                        wake_scheduled[il] = True
-                                        t = link_free[il]
-                                        if t < now:
-                                            t = now
-                                        if t <= end_time:
-                                            wb = wake_buckets[t]
-                                            if wb is None:
-                                                wake_buckets[t] = [il]
-                                            else:
-                                                wb.append(il)
-                                b = b_l[i]
-                                if warm <= b < horizon:
-                                    latencies.append(now - b)
-                                    hop_total += hops_l[i]
-                                    delivered_measured += 1
-                                if obs_on and hops_l[i] > max_hops_seen:
-                                    max_hops_seen = hops_l[i]
-                                continue
-                            if faults_on:
-                                if hops_l[i] >= ttl_hops:
-                                    drop_entry(p, vc_l[i], il, "ttl", now)
-                                    continue
-                                try:
-                                    nxt, inter = route_next_scalar(
-                                        p, rr, inter, d_l[i]
-                                    )
-                                except RouteUnavailableError:
-                                    drop_entry(p, vc_l[i], il, "unreachable", now)
-                                    continue
-                                lid = self.link_id[(rr, nxt)]
-                            else:
-                                target = inter if inter >= 0 else d_l[i]
-                                nxt = next_hop_table_scalar(rr, target)
-                                lid = lid_flat[rr * n + nxt]
-                            pkt_enq[p] = now
-                            q = waiting[lid]
-                            if (
-                                not q
-                                and link_free[lid] <= now_rl
-                                and (not faults_on or link_ok[lid])
-                            ):
-                                vc = vc_l[i]
-                                nvc = vc + 1
-                                if nvc > vmax:
-                                    nvc = vmax
-                                ci = lid * V + nvc
-                                if credits[ci] > 0:
-                                    # inline send: empty queue, usable idle
-                                    # link, credit in hand — identical to
-                                    # enqueue + try_dispatch popping the
-                                    # sole entry immediately
-                                    credits[ci] -= 1
-                                    if il >= 0:
-                                        credits[il * V + vc] += 1
-                                        if waiting[il] and not wake_scheduled[il]:
-                                            wake_scheduled[il] = True
-                                            t = link_free[il]
-                                            if t < now_rl:
-                                                t = now_rl
-                                            if t <= end_time:
-                                                wb = wake_buckets[t]
-                                                if wb is None:
-                                                    wake_buckets[t] = [il]
-                                                else:
-                                                    wb.append(il)
-                                    ser = link_ser[lid]
-                                    link_free[lid] = now_rl + ser
-                                    link_busy[lid] += ser
-                                    if obs_on:
-                                        depths.append(1)
-                                        if vc >= vmax:
-                                            vc_cap_sends += 1
-                                    arrive = now_rl + ser + LL
-                                    w_pid.append(p)
-                                    w_vc.append(nvc)
-                                    w_lid.append(lid)
-                                    if arrive <= end_time:
-                                        ab = arr_buckets[arrive]
-                                        if ab is None:
-                                            arr_buckets[arrive] = [p]
-                                        else:
-                                            ab.append(p)
-                                    continue
-                            q.append((p, vc_l[i], il, now))
-                            if obs_on:
-                                depths.append(len(q))
-                            if faults_on and not link_ok[lid]:
-                                continue  # dead link: no dispatch, no wake
-                            lf = link_free[lid]
-                            if lf <= now_rl:
-                                try_dispatch(lid, now_rl)
-                            elif not wake_scheduled[lid]:
-                                wake_scheduled[lid] = True
-                                if lf <= end_time:
-                                    wb = wake_buckets[lf]
-                                    if wb is None:
-                                        wake_buckets[lf] = [lid]
-                                    else:
-                                        wb.append(lid)
+                        q.append((p, vc, il, now))
+                        if obs_on:
+                            depths.append(len(q))
+                        if not link_ok[lid]:
+                            continue  # dead link: no dispatch, no wake
+                        lf = link_free[lid]
+                        if lf <= now_rl:
+                            try_dispatch(lid, now_rl)
+                        elif not wake_scheduled[lid]:
+                            wake_scheduled[lid] = True
+                            if lf <= end_time:
+                                wake_buckets[lf].append(lid)
                 wl = wake_buckets[now]
                 if wl:
                     i = 0

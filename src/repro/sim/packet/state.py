@@ -6,9 +6,10 @@ engine replaces both:
 
 * :class:`PacketArrays` — every per-packet field lives in one ``int64``
   NumPy column keyed by packet slot (``src/dest/router/vc/in_link/
-  intermediate/birth/hops/retries/enq``), so the per-cycle kernels in
-  :mod:`repro.sim.packet.kernel` gather and scatter whole arrival batches
-  with fancy indexing instead of touching attributes one packet at a time.
+  intermediate/birth/hops/retries``), so the engine gathers a cycle's
+  whole arrival batch in one fancy-indexed pass per column, and
+  :func:`repro.sim.packet.kernel.record_sends` scatters the cycle's sends
+  back, instead of touching attributes one packet at a time.
 * :class:`LinkState` — per-link mirrors (credits, serialization state,
   FIFO queues, wake dedup flags) kept as plain Python lists.  The
   dispatch/credit interleave is order-sensitive and runs element-at-a-time
@@ -36,11 +37,15 @@ __all__ = [
 
 
 class PacketArrays:
-    """Columnar packet state: one ``int64`` array per ``_Packet`` field."""
+    """Columnar packet state: one ``int64`` array per ``_Packet`` field.
+
+    ``_Packet.enq`` has no column: the cycle a packet joined its output
+    queue travels in the waiting-queue entry (see :class:`LinkState`).
+    """
 
     __slots__ = (
         "n", "src", "dest", "router", "vc", "in_link", "intermediate",
-        "birth", "hops", "retries", "enq",
+        "birth", "hops", "retries",
     )
 
     def __init__(self, src, dest, birth) -> None:
@@ -55,7 +60,6 @@ class PacketArrays:
         self.intermediate = np.full(n, -1, dtype=np.int64)
         self.hops = np.zeros(n, dtype=np.int64)
         self.retries = np.zeros(n, dtype=np.int64)
-        self.enq = self.birth.copy()
 
 
 class LinkState:
@@ -103,7 +107,7 @@ class LinkState:
 
 def build_link_id_table(n: int, link_id: dict[tuple[int, int], int]) -> np.ndarray:
     """Dense ``(n, n)`` int32 link-id matrix (``-1`` for non-edges) so the
-    kernel resolves ``(router, next_hop) -> lid`` by fancy indexing."""
+    engine resolves ``(router, next_hop) -> lid`` by indexing, not a dict."""
     tab = np.full((n, n), -1, dtype=np.int32)
     for (u, v), lid in link_id.items():
         tab[u, v] = lid
@@ -111,9 +115,9 @@ def build_link_id_table(n: int, link_id: dict[tuple[int, int], int]) -> np.ndarr
     return tab
 
 
-def make_buckets(end_time: int) -> list:
-    """One lazily-populated event list per cycle ``0..end_time``.  Events
-    past ``end_time`` are never enqueued — the reference loop stops at the
-    first popped event beyond it, which (heap order) discards exactly the
-    same set."""
-    return [None] * (end_time + 1)
+def make_buckets(end_time: int) -> list[list[int]]:
+    """One empty event list per cycle ``0..end_time``, so a push is one
+    ``append``.  Events past the last bucket are never enqueued — the
+    reference loop stops at the first popped event beyond ``end_time``,
+    which (heap order) discards exactly the same set."""
+    return [[] for _ in range(end_time + 1)]

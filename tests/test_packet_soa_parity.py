@@ -25,7 +25,7 @@ from repro.faults.model import (
     permanent_link_failures,
 )
 from repro.routing import TableRouter
-from repro.routing.table import batched_next_hops, next_hop_table
+from repro.routing.table import next_hop_table
 from repro.sim.packet import PacketSimConfig, PacketSimulator, latency_load_sweep
 from repro.topologies import polarstar_topology
 from repro.traffic import TornadoPattern, UniformRandomPattern
@@ -86,17 +86,27 @@ class TestResultParity:
             f"{[k for k in ref if ref[k] != soa[k]]}"
         )
 
-    def test_repeated_runs_share_state_identically(self, topo):
+    @pytest.mark.parametrize("adaptive", [False, True], ids=["minimal", "ugal"])
+    def test_repeated_runs_share_state_identically(self, topo, adaptive):
         # One simulator object per engine, run twice: the SoA engine's
         # per-(router, target) memo persists across run() calls and must
-        # reproduce the reference's persistent next-hop cache exactly.
+        # reproduce the reference's persistent next-hop cache exactly —
+        # results and the memo's hit/miss counters, run by run.
         results = {}
         for engine in ("reference", "soa"):
             router = TableRouter(topo.graph)
             sim = PacketSimulator(
-                topo, router, UniformRandomPattern(topo), CFG, engine=engine
+                topo, router, UniformRandomPattern(topo), CFG,
+                adaptive=adaptive, engine=engine,
             )
-            results[engine] = [asdict(sim.run(0.2)), asdict(sim.run(0.4))]
+            runs = []
+            for load in (0.2, 0.4):
+                with obs.session() as (registry, _tracer):
+                    res = asdict(sim.run(load))
+                    cache = [fam for fam in registry.collect()
+                             if fam["name"] == "sim.packet.nexthop_cache"]
+                runs.append((res, cache))
+            results[engine] = runs
         assert results["reference"] == results["soa"]
 
     def test_latency_load_sweep_parity(self, topo):
@@ -199,15 +209,3 @@ class TestBatchedNextHopTable:
     def test_table_is_memoized_per_router(self, topo):
         router = TableRouter(topo.graph)
         assert next_hop_table(router) is next_hop_table(router)
-
-    def test_batched_gather_matches_table(self, topo):
-        router = TableRouter(topo.graph)
-        table = next_hop_table(router)
-        n = topo.graph.n
-        rng = np.random.default_rng(1)
-        srcs = rng.integers(0, n, size=500)
-        dests = rng.integers(0, n, size=500)
-        hops = batched_next_hops(table, srcs, dests)
-        assert hops.shape == (500,)
-        expected = np.array([table[u, t] for u, t in zip(srcs, dests)])
-        assert (hops == expected).all()
