@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.experiments.common import format_table, table3_instance, table3_router
-from repro.sim.flow import latency_curve, link_loads, saturation_load, ugal_saturation_load
+from repro.sim.flow import latency_curve, saturation_load, ugal_saturation_load
 from repro.sim.packet import PacketSimConfig, latency_load_sweep
 from repro.topologies.base import Topology
 from repro.traffic import (
@@ -64,27 +64,19 @@ def run(
     with_ugal: bool = True,
     with_curves: bool = False,
 ) -> dict:
-    """Flow-level saturation (and optional latency curves) per combination."""
+    """Flow-level saturation (and optional latency curves) per combination:
+    one :func:`run_trial` row per cell."""
     rows = []
     curves = {}
     for name in names:
-        topo = table3_instance(name)
-        router, mode = table3_router(name)
         for pattern in patterns:
-            demand = pattern_demand(topo, pattern)
-            loads = link_loads(topo, router, demand, mode=mode)
-            peak = loads.max() if len(loads) else 0.0
-            sat_min = min(1.0, 1.0 / peak) if peak > 0 else 1.0
-            row = {"topology": name, "pattern": pattern, "min_saturation": sat_min}
-            if with_ugal:
-                row["ugal_saturation"] = ugal_saturation_load(
-                    topo, router, demand, mode=mode
-                )
-            rows.append(row)
+            params = {"topology": name, "pattern": pattern, "with_ugal": with_ugal}
+            rows.append(run_trial(params)["row"])
             if with_curves:
-                curves[(name, pattern)] = latency_curve(
-                    topo, router, demand, loads=loads, mode=mode
-                )
+                topo = table3_instance(name)
+                router, mode = table3_router(name)
+                demand = pattern_demand(topo, pattern)
+                curves[(name, pattern)] = latency_curve(topo, router, demand, mode=mode)
     return {"rows": rows, "curves": curves}
 
 
@@ -111,9 +103,7 @@ def run_trial(params: dict, fidelity: str = "flow", attempt: int = 1) -> dict:
     topo = table3_instance(name)
     router, mode = table3_router(name)
     demand = pattern_demand(topo, pattern)
-    loads = link_loads(topo, router, demand, mode=mode)
-    peak = loads.max() if len(loads) else 0.0
-    sat_min = min(1.0, 1.0 / peak) if peak > 0 else 1.0
+    sat_min = saturation_load(topo, router, demand, mode=mode)
     row = {"topology": name, "pattern": pattern, "min_saturation": float(sat_min)}
     if params.get("with_ugal", True):
         row["ugal_saturation"] = float(

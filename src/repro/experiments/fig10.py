@@ -30,20 +30,13 @@ TRIAL_FIDELITY = "flow"
 
 
 def run(names=HIERARCHICAL, with_ugal: bool = True) -> dict:
-    """Adversarial-pattern saturation per hierarchical topology."""
-    rows = []
-    for name in names:
-        topo = table3_instance(name)
-        router, mode = table3_router(name)
-        demand = AdversarialGroupPattern(topo).router_demand()
-        row = {
-            "topology": name,
-            "min_saturation": saturation_load(topo, router, demand, mode=mode),
-        }
-        if with_ugal:
-            row["ugal_saturation"] = ugal_saturation_load(topo, router, demand, mode=mode)
-        rows.append(row)
-    return {"rows": rows}
+    """Adversarial-pattern saturation per hierarchical topology: one
+    :func:`run_trial` row each."""
+    return {
+        "rows": [
+            run_trial({"topology": name, "with_ugal": with_ugal})["row"] for name in names
+        ]
+    }
 
 
 # -- trial API (repro.runtime) ------------------------------------------------

@@ -179,14 +179,9 @@ class LinkHealth:
     def links_down_count(self) -> int:
         """Undirected links currently unusable (down, or touching a down
         node) — the ``faults.links_down`` gauge value."""
-        down_nodes = np.nonzero(~self._node_ok)[0]
-        dead: set[tuple[int, int]] = set(self._down_edges)
-        for x in down_nodes:
-            xi = int(x)
-            for v in self.graph.neighbors(xi):
-                vi = int(v)
-                dead.add((xi, vi) if xi < vi else (vi, xi))
-        return len(dead)
+        # Each undirected link once: its CSR entry with source < target.
+        lower = self._entry_rows() < self.graph.indices
+        return int((lower & ~self._entry_ok()).sum())
 
     def nodes_down_count(self) -> int:
         return int((~self._node_ok).sum())

@@ -107,6 +107,26 @@ class Router(ABC):
             raise ValueError(f"no next hop from {current} to {dest}")
         return int(hops[0])
 
+    def next_hop_many(self, cur: np.ndarray, dst: np.ndarray) -> np.ndarray:
+        """Batched :meth:`next_hop`: ``out[i] == next_hop(cur[i], dst[i])``.
+
+        Returns an ``int64`` array with ``-1`` where ``cur == dst`` or *dst*
+        is unreachable.  This default asks :meth:`next_hop` once per pair;
+        routers with a whole-array rule override it.
+        """
+        cur = np.asarray(cur, dtype=np.int64)
+        dst = np.asarray(dst, dtype=np.int64)
+        out = np.full(cur.shape, -1, dtype=np.int64)
+        hop = self.next_hop
+        for i, (u, t) in enumerate(zip(cur.tolist(), dst.tolist())):
+            if u == t:
+                continue
+            try:
+                out[i] = hop(u, t)
+            except ValueError:
+                pass  # unreachable pair stays -1
+        return out
+
 
 def route_path(router: Router, src: int, dest: int, max_hops: int = 64) -> list[int]:
     """Follow ``router.next_hop`` from *src* to *dest*; returns the vertex

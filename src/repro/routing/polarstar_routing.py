@@ -244,6 +244,55 @@ class PolarStarRouter(Router):
             b = int(self.middle[c, t])
         return star.node_id(b, self._cross(c, b, cp))
 
+    def next_hop_many(self, cur: np.ndarray, dst: np.ndarray) -> np.ndarray:
+        """Whole-array :meth:`_next_hop`: the same §9.2 case analysis as
+        masks over the structure and supernode tables, ``-1`` where
+        ``cur == dst``.  Each case is evaluated only on its own pairs;
+        within a case, later ``np.where`` layers take precedence, so the
+        scalar rule's checks appear in reverse order."""
+        cur = np.asarray(cur, dtype=np.int64)
+        dst = np.asarray(dst, dtype=np.int64)
+        npr = self.np_
+        f, f_inv = self.f, self.f_inv
+        c, cp = np.divmod(cur, npr)
+        t, tp = np.divmod(dst, npr)
+
+        # Non-adjacent supernodes: step to the structure 2-walk middle.
+        b = self.middle[c, t]
+        out = b * npr + np.where(c < b, f[cp], f_inv[cp])
+
+        # Adjacent supernodes: direct cross / cross-then-intra, else
+        # intra-then-cross, else the middle (a self-loop middle b == c
+        # takes the matching edge first).
+        i = np.flatnonzero(self.s_adj[c, t])
+        if len(i):
+            ci, cpi, ti, tpi, bi = c[i], cp[i], t[i], tp[i], b[i]
+            fwd = ci < ti
+            img = np.where(fwd, f[cpi], f_inv[cpi])
+            z = np.where(fwd, f_inv[tpi], f[tpi])
+            matching = np.where(f[cpi] != cpi, f[cpi], f_inv[cpi])
+            hop = np.where(bi == ci, ci * npr + matching, out[i])
+            hop = np.where(self.sn_adj[cpi, z], ci * npr + z, hop)
+            crossing = (tpi == img) | self.sn_adj[img, tpi]
+            out[i] = np.where(crossing, ti * npr + img, hop)
+
+        # Same supernode: intra route, else (degenerate IQ_0) a detour via
+        # the high neighbor, the low neighbor, or any neighbor.
+        i = np.flatnonzero(c == t)
+        if len(i):
+            ci, cpi, tpi = c[i], cp[i], tp[i]
+            hi, lo = self.hi_nbr[ci], self.lo_nbr[ci]
+            up, down = hi * npr + f[cpi], lo * npr + f_inv[cpi]
+            detour = np.where(hi >= 0, up, down)
+            detour = np.where((lo >= 0) & self.sn_adj[f_inv[cpi], f_inv[tpi]], down, detour)
+            detour = np.where((hi >= 0) & self.sn_adj[f[cpi], f[tpi]], up, detour)
+            quad = self.quadric[ci]
+            dist = np.where(quad, self.intra_dist_aug[cpi, tpi], self.intra_dist_plain[cpi, tpi])
+            nxt = np.where(quad, self.intra_next_aug[cpi, tpi], self.intra_next_plain[cpi, tpi])
+            out[i] = np.where(dist <= 3, ci * npr + nxt, detour)
+            out[i[cpi == tpi]] = -1
+        return out
+
     def _matching_step(self, xp: int) -> int:
         img = int(self.f[xp])
         return img if img != xp else int(self.f_inv[xp])

@@ -116,16 +116,19 @@ _NEXT_HOP_TABLES: "weakref.WeakKeyDictionary[Router, np.ndarray]" = (
 )
 
 
+#: Pairs per :meth:`Router.next_hop_many` call while filling a next-hop table.
+_TABLE_CHUNK_PAIRS = 1 << 17
+
+
 def next_hop_table(router: Router) -> np.ndarray:
     """Dense single-next-hop matrix ``T`` with ``T[u, t] == router.next_hop(u, t)``.
 
     Read-only ``(n, n)`` int32; the diagonal and unreachable pairs hold
-    ``-1``.  For a :class:`TableRouter` the whole matrix is produced by the
-    vectorized :func:`first_minimal_hops` kernel over its shared distance
-    table; any other policy is sampled pair-by-pair (a one-time ``O(n²)``
-    cost, memoized per router object).  This is the batched table path the
-    struct-of-arrays packet engine fancy-indexes instead of calling
-    ``next_hop`` once per event.
+    ``-1``.  Rows are filled by :meth:`Router.next_hop_many` over blocks of
+    about :data:`_TABLE_CHUNK_PAIRS` pairs, so working memory stays bounded
+    however large ``n`` is; the table is memoized per router object.  This
+    is the batched table path the struct-of-arrays packet engine
+    fancy-indexes instead of calling ``next_hop`` once per event.
     """
     try:
         cached = _NEXT_HOP_TABLES.get(router)
@@ -139,23 +142,14 @@ def next_hop_table(router: Router) -> np.ndarray:
         help="dense next-hop-table constructions performed by this process",
     ).inc()
     with obs.span("routing.nexthop_table"):
-        if isinstance(router, TableRouter):
-            cur = np.repeat(np.arange(n, dtype=np.int64), n)
-            dst = np.tile(np.arange(n, dtype=np.int64), n)
-            tab = first_minimal_hops(router.graph, router.dist, cur, dst)
-            tab = tab.reshape(n, n).astype(np.int32)
-        else:
-            tab = np.full((n, n), -1, dtype=np.int32)
-            for u in range(n):
-                row = tab[u]
-                hop = router.next_hop
-                for t in range(n):
-                    if t == u:
-                        continue
-                    try:
-                        row[t] = hop(u, t)
-                    except ValueError:
-                        pass  # unreachable pair stays -1
+        tab = np.empty((n, n), dtype=np.int32)
+        rows = max(1, _TABLE_CHUNK_PAIRS // max(n, 1))
+        targets = np.arange(n, dtype=np.int64)
+        for start in range(0, n, rows):
+            stop = min(start + rows, n)
+            cur = np.repeat(np.arange(start, stop, dtype=np.int64), n)
+            dst = np.tile(targets, stop - start)
+            tab[start:stop] = router.next_hop_many(cur, dst).reshape(stop - start, n)
     tab.setflags(write=False)
     try:
         _NEXT_HOP_TABLES[router] = tab
@@ -191,6 +185,10 @@ class TableRouter(Router):
         nbrs = self.graph.neighbors(current)
         closer = nbrs[self.dist[nbrs, dest] == self.dist[current, dest] - 1]
         return HopView(closer)
+
+    def next_hop_many(self, cur: np.ndarray, dst: np.ndarray) -> np.ndarray:
+        """Batched :meth:`next_hop` via :func:`first_minimal_hops`."""
+        return first_minimal_hops(self.graph, self.dist, cur, dst)
 
     def num_minimal_paths(self, src: int, dest: int) -> int:
         """Count of distinct minimal paths (path-diversity metric)."""

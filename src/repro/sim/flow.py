@@ -37,16 +37,27 @@ __all__ = [
 ]
 
 
-def _edge_index(topology: Topology) -> dict[tuple[int, int], int]:
-    """Directed link -> index, CSR order."""
+#: Destination columns pushed together by the single-path solver: bounds
+#: its working set to ``_DEST_BLOCK * n`` (source, destination) pairs.
+_DEST_BLOCK = 128
+
+
+def _edge_keys(topology: Topology) -> np.ndarray:
+    """Sorted ``u * n + v`` key of every directed link; a key's position is
+    the link's index in CSR order (rows ascend, each row's columns sorted)."""
     g = topology.graph
-    idx = {}
-    k = 0
-    for u in range(g.n):
-        for v in g.neighbors(u):
-            idx[(u, int(v))] = k
-            k += 1
-    return idx
+    rows = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(g.indptr))
+    return rows * g.n + g.indices
+
+
+def _edge_ids(keys: np.ndarray, n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """CSR indices of the directed links ``u[i] -> v[i]``; ``ValueError`` if
+    any pair is not a link."""
+    want = np.asarray(u, dtype=np.int64) * n + np.asarray(v, dtype=np.int64)
+    pos = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+    if len(want) and (len(keys) == 0 or (keys[pos] != want).any()):
+        raise ValueError("a routed hop does not follow a link of the topology")
+    return pos
 
 
 def link_loads(
@@ -57,51 +68,109 @@ def link_loads(
 ) -> np.ndarray:
     """Per-directed-link load under minimal routing of *demand*.
 
-    Returns an array over directed links in CSR order (pair order of
-    :func:`_edge_index`).  When the router exposes a BFS distance matrix
-    (``TableRouter.dist``) and ``mode == "all"``, a fully vectorized
-    DAG-propagation path is used — required for full Table 3 scale.
+    Returns an array over directed links in CSR order.  ``mode="single"``
+    pushes every demand pair along :meth:`Router.next_hop_many`, one call
+    per hop for a block of destinations; ``mode="all"`` with a BFS distance
+    matrix (``TableRouter.dist``) uses a vectorized DAG propagation.  Both
+    run at full Table 3 scale; only ``mode="all"`` on a router without a
+    distance matrix (HyperX) takes the per-vertex scalar loop.  A demand
+    pair the router cannot deliver raises ``ValueError``.
     """
-    if mode == "all" and hasattr(router, "dist"):
+    if mode != "all":
+        with obs.span("sim.flow.link_loads.single"):
+            loads, columns = _link_loads_single(topology, router, demand)
+    elif hasattr(router, "dist"):
         with obs.span("sim.flow.link_loads.vectorized"):
             loads = _link_loads_vectorized(topology, router.dist, demand)
-            _record_flow_metrics(loads, columns=int((demand != 0).any(axis=0).sum()))
-            return loads
-    g = topology.graph
-    eidx = _edge_index(topology)
-    loads = np.zeros(len(eidx), dtype=np.float64)
-    n = g.n
-    columns = 0
-
-    with obs.span("sim.flow.link_loads.scalar"):
-        for t in range(n):
-            col = demand[:, t]
-            sources = np.nonzero(col)[0]
-            if not len(sources):
-                continue
-            columns += 1
-            # Propagate flow down the minimal-path DAG toward t, farthest layer
-            # first; flow only ever moves to strictly smaller distances, so each
-            # layer is complete when processed.
-            by_dist: dict[int, dict[int, float]] = {}
-            for s in sources:
-                d = router.distance(int(s), t)
-                by_dist.setdefault(d, {})
-                by_dist[d][int(s)] = by_dist[d].get(int(s), 0.0) + float(col[s])
-            dmax = max(by_dist)
-            for d in range(dmax, 0, -1):
-                for u, f in by_dist.get(d, {}).items():
-                    if f == 0.0:
-                        continue
-                    hops = router.next_hops(u, t) if mode == "all" else [router.next_hop(u, t)]
-                    share = f / len(hops)
-                    for v in hops:
-                        loads[eidx[(u, v)]] += share
-                        nd = router.distance(v, t)
-                        by_dist.setdefault(nd, {})
-                        by_dist[nd][v] = by_dist[nd].get(v, 0.0) + share
+            columns = int((demand != 0).any(axis=0).sum())
+    else:
+        with obs.span("sim.flow.link_loads.scalar"):
+            loads, columns = _link_loads_scalar(topology, router, demand)
     _record_flow_metrics(loads, columns=columns)
     return loads
+
+
+def _link_loads_single(
+    topology: Topology, router: Router, demand: np.ndarray
+) -> tuple[np.ndarray, int]:
+    """Single-path loads: walk every nonzero ``(src, dst, flow)`` triple of a
+    block of destination columns forward one hop per step.  Loads are
+    linear in the paths, so no distances are needed; pairs leave the
+    working set as they arrive."""
+    n = topology.graph.n
+    keys = _edge_keys(topology)
+    loads = np.zeros(len(keys), dtype=np.float64)
+    columns = 0
+    for start in range(0, demand.shape[1], _DEST_BLOCK):
+        block = demand[:, start : start + _DEST_BLOCK]
+        cur, col = np.nonzero(block)
+        if not len(cur):
+            continue
+        columns += int((block != 0).any(axis=0).sum())
+        flow = block[cur, col].astype(np.float64)
+        dst = col + start
+        for hop in range(n + 1):
+            moving = cur != dst
+            cur, dst, flow = cur[moving], dst[moving], flow[moving]
+            if not len(cur):
+                break
+            if hop == n:
+                raise ValueError(f"routing loop: {cur[0]} -> {dst[0]} not delivered in {n} hops")
+            nxt = router.next_hop_many(cur, dst)
+            if (nxt < 0).any():
+                i = int(np.argmax(nxt < 0))
+                raise ValueError(f"no route from {cur[i]} to {dst[i]} for its demand")
+            loads += np.bincount(_edge_ids(keys, n, cur, nxt), weights=flow, minlength=len(loads))
+            cur = nxt
+    return loads, columns
+
+
+def _link_loads_scalar(
+    topology: Topology, router: Router, demand: np.ndarray
+) -> tuple[np.ndarray, int]:
+    """All-minpath loads one destination column at a time, from the
+    router's own ``distance`` / ``next_hops`` (routers without a table)."""
+    n = topology.graph.n
+    keys = _edge_keys(topology)
+    loads = np.zeros(len(keys), dtype=np.float64)
+    columns = 0
+    for t in range(n):
+        col = demand[:, t]
+        sources = np.nonzero(col)[0]
+        if not len(sources):
+            continue
+        columns += 1
+        # Propagate flow down the minimal-path DAG toward t, farthest layer
+        # first; flow only ever moves to strictly smaller distances, so each
+        # layer is complete when processed.
+        by_dist: dict[int, dict[int, float]] = {}
+        for s in sources:
+            d = router.distance(int(s), t)
+            by_dist.setdefault(d, {})
+            by_dist[d][int(s)] = by_dist[d].get(int(s), 0.0) + float(col[s])
+        tails: list[int] = []
+        heads: list[int] = []
+        shares: list[float] = []
+        dmax = max(by_dist)
+        for d in range(dmax, 0, -1):
+            for u, f in by_dist.get(d, {}).items():
+                if f == 0.0:
+                    continue
+                hops = [int(v) for v in router.next_hops(u, t)]
+                if not hops:
+                    raise ValueError(f"no route from {u} to {t} for its demand")
+                share = f / len(hops)
+                for v in hops:
+                    tails.append(u)
+                    heads.append(v)
+                    shares.append(share)
+                    nd = router.distance(v, t)
+                    by_dist.setdefault(nd, {})
+                    by_dist[nd][v] = by_dist[nd].get(v, 0.0) + share
+        if tails:
+            ids = _edge_ids(keys, n, np.array(tails), np.array(heads))
+            loads += np.bincount(ids, weights=shares, minlength=len(loads))
+    return loads, columns
 
 
 def _record_flow_metrics(loads: np.ndarray, columns: int) -> None:

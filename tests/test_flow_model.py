@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.core import PolarStarConfig
 from repro.graphs import Graph
-from repro.routing import TableRouter
+from repro.routing import DragonflyRouter, HyperXRouter, PolarStarRouter, TableRouter, route_path
+from repro.routing.base import Router
 from repro.sim.flow import (
     latency_curve,
     link_loads,
@@ -12,7 +14,7 @@ from repro.sim.flow import (
     ugal_saturation_load,
     valiant_link_loads,
 )
-from repro.topologies import Topology, dragonfly_topology, polarstar_topology
+from repro.topologies import Topology, dragonfly_topology, hyperx_topology, polarstar_topology
 from repro.topologies.base import uniform_endpoints
 from repro.traffic import RandomPermutationPattern, UniformRandomPattern
 
@@ -54,6 +56,18 @@ class TestLinkLoads:
         loads = link_loads(topo, r, demand, mode="all")
         assert loads.max() == pytest.approx(0.5)
 
+    def test_scalar_all_minpath_matches_vectorized(self):
+        """HyperX has no distance table, so ``mode="all"`` takes the
+        per-vertex DAG walk; it must split flow exactly as the vectorized
+        propagation over the BFS table does."""
+        topo = hyperx_topology((3, 4, 2), p=1)
+        rng = np.random.default_rng(4)
+        n = topo.num_routers
+        demand = rng.random((n, n)) * (rng.random((n, n)) < 0.5)
+        got = link_loads(topo, HyperXRouter(topo), demand, mode="all")
+        want = link_loads(topo, TableRouter(topo.graph), demand, mode="all")
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+
     def test_single_mode_concentrates(self):
         g = Graph(4, [(0, 1), (0, 2), (1, 3), (2, 3)], name="C4")
         topo = Topology(g, uniform_endpoints(4, 1), name="C4")
@@ -62,6 +76,89 @@ class TestLinkLoads:
         demand[0, 3] = 1.0
         loads = link_loads(topo, r, demand, mode="single")
         assert loads.max() == pytest.approx(1.0)
+
+
+def path_walk_loads(topo, router, demand):
+    """Oracle: walk ``route_path`` for every demand pair, one hop at a time."""
+    g = topo.graph
+    index = {
+        (u, int(v)): int(g.indptr[u]) + k
+        for u in range(g.n)
+        for k, v in enumerate(g.neighbors(u))
+    }
+    loads = np.zeros(len(g.indices))
+    for s, t in zip(*np.nonzero(demand)):
+        path = route_path(router, int(s), int(t))
+        for a, b in zip(path, path[1:]):
+            loads[index[(a, b)]] += demand[s, t]
+    return loads
+
+
+def _ps(kind, q, dprime):
+    topo = polarstar_topology(PolarStarConfig(q=q, dprime=dprime, supernode_kind=kind))
+    return topo, PolarStarRouter(topo.meta["star"])
+
+
+def _df():
+    topo = dragonfly_topology(a=8, h=4, p=1)
+    return topo, DragonflyRouter(topo)
+
+
+def _table():
+    topo = polarstar_topology(PolarStarConfig(q=5, dprime=2, supernode_kind="paley"))
+    return topo, TableRouter(topo.graph)
+
+
+SINGLE_PATH_CASES = {
+    "PS-IQ": lambda: _ps("iq", 4, 3),
+    "PS-Paley": lambda: _ps("paley", 4, 4),
+    "DF-lgl": _df,
+    "table": _table,
+}
+
+
+class TestSinglePathPush:
+    """``mode="single"`` pushes demand along ``next_hop_many`` one hop per
+    step for blocks of destinations; it must equal the path walk."""
+
+    @pytest.mark.parametrize("case", sorted(SINGLE_PATH_CASES))
+    def test_matches_path_walk_oracle(self, case):
+        topo, router = SINGLE_PATH_CASES[case]()
+        n = topo.num_routers
+        assert n > 128  # more than one destination block
+        rng = np.random.default_rng(3)
+        demand = rng.random((n, n)) * (rng.random((n, n)) < 0.3)
+        demand[5, 5] = 1.0  # flow already at its destination loads nothing
+        got = link_loads(topo, router, demand, mode="single")
+        np.testing.assert_allclose(got, path_walk_loads(topo, router, demand), rtol=1e-12, atol=0)
+
+    def test_unreachable_pair_raises(self):
+        g = Graph(5, [(0, 1), (1, 2), (3, 4)], name="split")
+        topo = Topology(g, uniform_endpoints(5, 1), name="split")
+        demand = np.zeros((5, 5))
+        demand[0, 2] = 1.0
+        demand[0, 4] = 0.5  # planted: 4 is in the other component
+        with pytest.raises(ValueError, match="no route"):
+            link_loads(topo, TableRouter(g), demand, mode="single")
+
+    def test_routing_loop_raises(self):
+        class BounceRouter(Router):
+            """Never reaches 2: 0 and 1 hand the packet back and forth."""
+
+            def __init__(self, graph):
+                self.graph = graph
+
+            def next_hops(self, current, dest):
+                return [] if current == dest else [1 - current if current < 2 else 1]
+
+            def distance(self, current, dest):
+                return 0 if current == dest else 1
+
+        topo = line_topology()
+        demand = np.zeros((3, 3))
+        demand[0, 2] = 1.0
+        with pytest.raises(ValueError, match="routing loop"):
+            link_loads(topo, BounceRouter(topo.graph), demand, mode="single")
 
 
 class TestSaturation:

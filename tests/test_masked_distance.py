@@ -7,7 +7,8 @@ of the materialized :meth:`LinkHealth.healthy_graph` (what serve epochs
 route on), and :meth:`FaultAwareRouter.distance` (lazy and batched-eager
 cache entries).  A scalar BFS kept here as the oracle pins them all on
 random link-down, node-down and link-degrade masks, including down
-sources and disconnected components.
+sources and disconnected components.  The same masks pin the vectorized
+:meth:`LinkHealth.links_down_count` to its set-based definition.
 """
 
 import numpy as np
@@ -48,6 +49,16 @@ def oracle_bfs(health: LinkHealth, source: int) -> np.ndarray:
     return dist
 
 
+def links_down_oracle(health: LinkHealth) -> int:
+    """Set-based ``faults.links_down``: every down link plus every link
+    touching a down node, each undirected link counted once."""
+    dead = set(health._down_edges)
+    for x in np.flatnonzero(~health._node_ok):
+        for v in health.graph.neighbors(int(x)):
+            dead.add((min(int(x), int(v)), max(int(x), int(v))))
+    return len(dead)
+
+
 @st.composite
 def fault_events(draw, graph: Graph, max_events: int):
     """A random event sequence over *graph*: link and node failures with
@@ -81,6 +92,7 @@ def assert_all_paths_agree(graph: Graph, inner, events: list[FaultEvent]) -> Non
         health.apply(last)
     router.sync()
 
+    assert health.links_down_count() == links_down_oracle(health)
     batched = health.distances_to(np.arange(n))
     assert batched.dtype == np.int64 and batched.shape == (n, n)
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.core import PolarStarConfig, build_polarstar
+from repro.graphs import Graph
 from repro.routing import (
     DragonflyRouter,
     HyperXRouter,
@@ -14,6 +15,8 @@ from repro.routing import (
     route_path,
     valiant_path,
 )
+from repro.routing import table as rtable
+from repro.routing.table import next_hop_table
 from repro.topologies import dragonfly_topology, hyperx_topology
 
 PS_CONFIGS = [
@@ -92,7 +95,78 @@ class TestPolarStarRouterOracle:
                     assert sp.graph.has_edge(a, b)
 
 
+def scalar_next_hops(router: PolarStarRouter, cur: np.ndarray, dst: np.ndarray) -> list[int]:
+    """The readable §9.2 rule (``_next_hop``) once per pair, ``-1`` on the diagonal."""
+    return [-1 if u == t else router._next_hop(u, t) for u, t in zip(cur.tolist(), dst.tolist())]
+
+
+@pytest.mark.parametrize("cfg", PS_CONFIGS, ids=lambda c: c.name)
+def test_next_hop_many_matches_scalar_rule(cfg):
+    """The whole-array kernel equals ``_next_hop`` on every pair (IQ_0,
+    Paley/R_1 and quadric supernodes among the configs)."""
+    sp = build_polarstar(cfg)
+    r = PolarStarRouter(sp)
+    n = sp.graph.n
+    cur = np.repeat(np.arange(n), n)
+    dst = np.tile(np.arange(n), n)
+    np.testing.assert_array_equal(r.next_hop_many(cur, dst), scalar_next_hops(r, cur, dst))
+
+
+@pytest.mark.parametrize("cfg", [PS_CONFIGS[3], PS_CONFIGS[8]], ids=lambda c: c.name)
+def test_next_hop_many_matches_scalar_rule_on_random_tables(cfg):
+    """Valid instances never take the neighbor detours, and reach the
+    self-loop matching step only where f is an involution; random
+    supernode tables, read by both evaluators, drive every branch."""
+    r = PolarStarRouter(build_polarstar(cfg))
+    rng = np.random.default_rng(5)
+    k = r.np_
+    adj = rng.random((k, k)) < 0.3
+    r.sn_adj = (adj | adj.T) & ~np.eye(k, dtype=bool)
+    for name in ("intra_dist_plain", "intra_dist_aug"):
+        setattr(r, name, rng.choice(np.array([1, 2, 3, 4, 127], dtype=np.int8), (k, k)))
+    n = r.graph.n
+    cur = np.repeat(np.arange(n), n)
+    dst = np.tile(np.arange(n), n)
+    np.testing.assert_array_equal(r.next_hop_many(cur, dst), scalar_next_hops(r, cur, dst))
+
+
+NEXT_HOP_TABLE_ROUTERS = {
+    "polarstar": lambda: PolarStarRouter(build_polarstar(PS_CONFIGS[3])),
+    "dragonfly": lambda: DragonflyRouter(dragonfly_topology(a=4, h=2, p=2)),
+    "table": lambda: TableRouter(dragonfly_topology(a=4, h=2, p=2).graph),
+    "table-unreachable": lambda: TableRouter(
+        Graph(7, [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5), (5, 6)], name="split")
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NEXT_HOP_TABLE_ROUTERS))
+def test_next_hop_table_matches_next_hop(name, monkeypatch):
+    """``next_hop_table(r)[u, t] == r.next_hop(u, t)``, with ``-1`` on the
+    diagonal and for unreachable pairs; a small chunk forces several
+    row blocks per table."""
+    router = NEXT_HOP_TABLE_ROUTERS[name]()
+    monkeypatch.setattr(rtable, "_TABLE_CHUNK_PAIRS", 3 * router.graph.n + 1)
+    tab = next_hop_table(router)
+    n = router.graph.n
+    for u in range(n):
+        for t in range(n):
+            try:
+                want = -1 if u == t else router.next_hop(u, t)
+            except ValueError:
+                want = -1
+            assert tab[u, t] == want, (name, u, t)
+
+
 class TestPolarStarRouterScale:
+    def test_table3_next_hop_many_sampled(self):
+        """The kernel equals the scalar rule on 20k sampled pairs of full PS-IQ."""
+        sp = build_polarstar(PolarStarConfig(q=11, dprime=3, supernode_kind="iq"))
+        r = PolarStarRouter(sp)
+        rng = np.random.default_rng(11)
+        cur, dst = rng.integers(0, sp.graph.n, (2, 20000))
+        np.testing.assert_array_equal(r.next_hop_many(cur, dst), scalar_next_hops(r, cur, dst))
+
     def test_table3_config_sampled(self):
         """The full PS-IQ Table 3 network: sampled pairs routed minimally."""
         sp = build_polarstar(PolarStarConfig(q=11, dprime=3, supernode_kind="iq"))
